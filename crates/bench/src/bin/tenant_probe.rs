@@ -293,8 +293,12 @@ fn parse_prometheus(text: &str) -> std::collections::HashMap<String, f64> {
 /// report the check-duration and first-request latency distributions
 /// from both export surfaces (JSON and Prometheus). Smoke mode gates CI:
 /// both exports must parse, the required series must be present and
-/// non-zero for every app, and the chrome://tracing export must
-/// round-trip as valid JSON.
+/// non-zero for every app, the chrome://tracing export must round-trip as
+/// valid JSON, and after a second (warm-up) workload iteration a third
+/// must resolve no dispatch afresh (`hb_engine_dispatch_resolutions`
+/// stays put: the steady state answers every intercepted call from the
+/// dispatch memo; Rolify's first iteration ends by typing a generated
+/// method, which clears the memo once).
 fn metrics_main(smoke: bool) -> ! {
     let host_cores = host_cores_banner();
     let mut apps_json = Vec::new();
@@ -356,6 +360,20 @@ fn metrics_main(smoke: bool) -> ! {
             first.p99,
             first.max,
         ));
+        if smoke {
+            let resolutions = |hb: &Hummingbird| {
+                parse_prometheus(&hb.metrics_prometheus())["hb_engine_dispatch_resolutions"]
+            };
+            run_workload(&spec, &mut hb, 1);
+            let before = resolutions(&hb);
+            run_workload(&spec, &mut hb, 1);
+            assert_eq!(
+                resolutions(&hb),
+                before,
+                "{}: a third workload iteration must not resolve any dispatch afresh",
+                spec.name
+            );
+        }
     }
     println!(
         "{{\"mode\": \"{}\", \"schema_version\": 1, \"host_cores\": {host_cores}, \
@@ -366,7 +384,8 @@ fn metrics_main(smoke: bool) -> ! {
     if smoke {
         eprintln!(
             "metrics smoke OK: six apps exported parseable Prometheus text, \
-             non-zero check-duration and first-request histograms, and valid trace JSON"
+             non-zero check-duration and first-request histograms, valid trace JSON, \
+             and no dispatch resolutions on a third iteration"
         );
     }
     std::process::exit(0);

@@ -2,11 +2,12 @@
 //! entry, with a memoised derivation cache (paper §3's 𝒳) and Definition-1
 //! invalidation.
 //!
-//! The engine is a dispatch hook ([`CallHook`]): when an annotated method is
-//! called it (a) runs any needed dynamic argument checks (rules (EApp*),
-//! minimised per §4 "Eliminating Dynamic Checks"), and (b) if the method is
-//! marked for checking, statically checks its body against the *current*
-//! type table — once, caching the outcome keyed by the receiver's class.
+//! The engine is the one dispatch hook ([`CallHook`]): when a checkable
+//! method is called it (a) runs the `pre` contracts that apply, (b) runs
+//! any needed dynamic argument checks (rules (EApp*), minimised per §4
+//! "Eliminating Dynamic Checks"), and (c) if the method is marked for
+//! checking, statically checks its body against the *current* type table —
+//! once, caching the outcome keyed by the receiver's class.
 
 use crate::info::RegistryInfo;
 use crate::obs::EngineObs;
@@ -21,8 +22,8 @@ use hb_interp::{
     InterpEvent, MethodBody, Value,
 };
 use hb_rdl::{
-    type_of, value_conforms, AnnotationSource, MethodKey, RdlEvent, RdlEventSink, RdlState,
-    Resolution, TableEntry,
+    type_of, value_conforms, AnnotationSource, MethodKey, PreHook, RdlEvent, RdlEventSink,
+    RdlState, Resolution, TableEntry,
 };
 use hb_sched::{CheckTask, CompletionQueue, Scheduler, TaskCompletion, TaskVerdict, WorldSnapshot};
 use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, Span, TypeDiagnostic};
@@ -110,6 +111,31 @@ type ReplayKey = (Sym, bool, bool, Sym);
 /// A replayed lookup's answer: (resolved key, its version, its sig fingerprint).
 type ReplayResult = (MethodKey, u64, u64);
 
+/// Memo key for a dispatch resolution: (receiver class, owner,
+/// class_level, method). The owner is part of the key because the `pre`
+/// walk consults it, and a method defined later on a subclass changes the
+/// owner without changing the hierarchy.
+type DispatchKey = (ClassId, ClassId, bool, Sym);
+
+/// What the call hook derives from a dispatch's identity alone — the
+/// ancestor walks every intercepted call would otherwise repeat. Valid for
+/// one (type-table, pre-contract, class-hierarchy) generation triple.
+struct DispatchResolution {
+    /// The `pre` contracts that apply ([`hb_rdl::pre::applicable_pres`]).
+    pres: Vec<PreHook>,
+    /// The annotation the receiver's chain resolves to, if any.
+    annotation: Option<(MethodKey, Rc<TableEntry>)>,
+    /// The derivation cache key: the *receiver's* class (module methods
+    /// cache per mix-in class, paper §4 "Modules").
+    cache_key: MethodKey,
+    /// No `pre` contract is registered under this method name on any
+    /// class, and the annotation is not flagged always-dynamic-check: the
+    /// resolution-level half of the fast-entry patch gate. Name-wide,
+    /// because a class rename or superclass rewire moves the stamp without
+    /// flushing patches; a later `pre`, `type` or `include` flushes them.
+    patchable: bool,
+}
+
 #[derive(Default)]
 struct EngineState {
     /// Keyed with [`hb_intern::FastMap`]: `ensure_checked` probes this
@@ -135,6 +161,13 @@ struct EngineState {
     dep_memo: HashMap<ReplayKey, Option<ReplayResult>>,
     /// The (table, hierarchy) generations `dep_memo` was built at.
     dep_memo_gen: (u64, u64),
+    /// Memoised dispatch resolutions, so a steady-state intercepted call
+    /// probes one map instead of walking the receiver's ancestors for
+    /// `pre` contracts and again for its annotation.
+    dispatch_memo: hb_intern::FastMap<DispatchKey, Rc<DispatchResolution>>,
+    /// The (table, pre, hierarchy) generations `dispatch_memo` is valid
+    /// at; any move clears the memo.
+    dispatch_memo_gen: (u64, u64, u64),
     /// Cache keys with a scheduled check task in flight (enqueued, not
     /// yet harvested) — deduplicates deferred admissions so a hot cold
     /// method enqueues one task, not one per call.
@@ -342,6 +375,69 @@ impl Engine {
     pub fn attach_exec_tier(&self, tier: Rc<ExecTierState>) {
         self.state.borrow_mut().tier = Some(tier.clone());
         self.rdl.add_event_sink(Rc::new(FastFlushSink { tier }));
+    }
+
+    /// The generations a dispatch resolution depends on: the type table,
+    /// the `pre` contracts and the class hierarchy.
+    fn dispatch_stamp(&self, interp: &Interp) -> (u64, u64, u64) {
+        (
+            self.rdl.table_generation(),
+            self.rdl.pre_generation(),
+            interp.registry.hierarchy_generation(),
+        )
+    }
+
+    /// `info`'s dispatch resolution under `stamp`, from the memo when it
+    /// is still valid there (same pattern as `dep_memo`).
+    fn resolve_dispatch(
+        &self,
+        interp: &Interp,
+        info: &DispatchInfo,
+        stamp: (u64, u64, u64),
+    ) -> Rc<DispatchResolution> {
+        let key: DispatchKey = (info.recv_class, info.owner, info.class_level, info.name);
+        let mut st = self.state.borrow_mut();
+        if st.dispatch_memo_gen != stamp {
+            st.dispatch_memo.clear();
+            st.dispatch_memo_gen = stamp;
+        }
+        if let Some(res) = st.dispatch_memo.get(&key) {
+            return res.clone();
+        }
+        st.stats.dispatch_resolutions += 1;
+        let res = Rc::new(self.compute_resolution(interp, info));
+        st.dispatch_memo.insert(key, res.clone());
+        res
+    }
+
+    /// A memo miss: walks the receiver's ancestors for the `pre`
+    /// contracts and the annotation. Outlined so the hit path stays small.
+    #[cold]
+    #[inline(never)]
+    fn compute_resolution(&self, interp: &Interp, info: &DispatchInfo) -> DispatchResolution {
+        let pres = hb_rdl::pre::applicable_pres(&self.rdl, interp, info);
+        let annotation = self.rdl.lookup_along(
+            interp
+                .registry
+                .ancestor_syms(info.recv_class)
+                .map(|(_, sym)| sym),
+            info.class_level,
+            info.name,
+        );
+        let patchable = !self.rdl.any_pre_named(info.name, info.class_level)
+            && annotation
+                .as_ref()
+                .is_some_and(|(_, e)| !e.always_dyn_check);
+        DispatchResolution {
+            pres,
+            annotation,
+            cache_key: MethodKey {
+                class: interp.registry.name_sym(info.recv_class),
+                class_level: info.class_level,
+                method: info.name,
+            },
+            patchable,
+        }
     }
 
     /// Resolves the enforcement policy for a dispatch. Outlined and cold:
@@ -2229,9 +2325,25 @@ impl CallHook for Engine {
         &self,
         interp: &mut Interp,
         info: &DispatchInfo,
-        _recv: &Value,
+        recv: &Value,
         args: &[Value],
     ) -> Result<HookOutcome, HbError> {
+        let stamp = self.dispatch_stamp(interp);
+        let mut res = self.resolve_dispatch(interp, info, stamp);
+        // Pre contracts run first, and even with checking disabled: they
+        // are where metaprogramming libraries generate types (Fig. 1), so
+        // skipping them would change program behaviour.
+        if !res.pres.is_empty() {
+            hb_rdl::pre::run_pres(
+                &self.rdl,
+                interp,
+                info,
+                res.cache_key,
+                recv,
+                args,
+                &res.pres,
+            )?;
+        }
         if !self.config.borrow().enabled {
             return Ok(HookOutcome::default());
         }
@@ -2243,29 +2355,17 @@ impl CallHook for Engine {
             self.poll_completions(interp);
         }
         self.state.borrow_mut().stats.intercepted_calls += 1;
-
-        // Resolve the annotation along the receiver class's ancestors, the
-        // same path dispatch used — interned symbols over the memoised
-        // chain, so the steady-state lookup allocates nothing.
-        let found = self.rdl.lookup_along(
-            interp
-                .registry
-                .ancestor_syms(info.recv_class)
-                .map(|(_, sym)| sym),
-            info.class_level,
-            info.name,
-        );
-        let Some((annotation_key, table_entry)) = found else {
+        // A pre that added a type (Fig. 1/Fig. 2), or an inferred
+        // annotation retracted above, moves the stamp: re-resolve so this
+        // very call sees the current annotation.
+        let now = self.dispatch_stamp(interp);
+        if now != stamp {
+            res = self.resolve_dispatch(interp, info, now);
+        }
+        let Some((annotation_key, table_entry)) = &res.annotation else {
             return Ok(HookOutcome::default());
         };
-
-        // The cache key is the *receiver's* class (module methods cache per
-        // mix-in class, paper §4 "Modules").
-        let cache_key = MethodKey {
-            class: interp.registry.name_sym(info.recv_class),
-            class_level: info.class_level,
-            method: info.name,
-        };
+        let (annotation_key, cache_key) = (*annotation_key, res.cache_key);
 
         // Enforcement policy. The trivial-configuration fast test is one
         // `Cell` load, so the Enforce-everywhere default (and with it the
@@ -2293,7 +2393,7 @@ impl CallHook for Engine {
             let dyn_result = self.dynamic_arg_check(
                 interp,
                 info,
-                &table_entry,
+                table_entry,
                 args,
                 &cache_key,
                 &annotation_key,
@@ -2316,7 +2416,7 @@ impl CallHook for Engine {
                 info,
                 &cache_key,
                 &annotation_key,
-                &table_entry,
+                table_entry,
                 Some(info.span),
                 policy,
             ) {
@@ -2338,17 +2438,18 @@ impl CallHook for Engine {
                     // skip the hook probe entirely. Sound only while every
                     // per-call decision this hook could make is statically
                     // known to be a no-op: derivation cached (`checked`),
-                    // caching on, enforcement trivially Enforce, no `pre`
-                    // contract registered under this method's name, and the
-                    // method not flagged always-dynamic-check. Any event
-                    // that could change one of these flushes or depatches
-                    // the table.
+                    // caching on, enforcement trivially Enforce, and the
+                    // resolution patchable (no `pre` contract under this
+                    // name anywhere, not flagged always-dynamic-check).
+                    // Pres match along the whole chain, and a rename or
+                    // rewire can change the chain without a flush, so the
+                    // pre half is name-wide. Any event that could
+                    // change one of these flushes or depatches the table.
                     if mark_checked
                         && interp.tier.elision_enabled()
                         && self.config.borrow().caching
                         && self.rdl.policies_trivial()
-                        && self.rdl.no_pre_named(info.name, info.class_level)
-                        && !table_entry.always_dyn_check
+                        && res.patchable
                     {
                         interp.tier.patch(cache_key, info.recv_class, info.entry.id);
                     }

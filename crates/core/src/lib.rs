@@ -94,7 +94,7 @@ pub use hb_rdl::{CheckPolicy, DiagnosticSink, MethodKey, RdlState, RdlStats};
 pub use hb_sched::{CheckTask, Scheduler, TaskVerdict, WorldSnapshot};
 pub use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, SourceMap, TypeDiagnostic};
 
-use hb_rdl::{install_rdl, RdlHook};
+use hb_rdl::install_rdl;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -386,7 +386,6 @@ impl HummingbirdBuilder {
             }
         }
         if self.mode != Mode::Original {
-            interp.add_hook(Rc::new(RdlHook { state: rdl.clone() }));
             interp.add_hook(engine.clone());
         }
         interp.tier.set_tier(self.exec_tier);

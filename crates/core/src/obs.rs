@@ -168,6 +168,7 @@ pub fn stat_fields(stats: &EngineStats) -> Vec<(&'static str, u64)> {
         ("failed_check_ns", stats.failed_check_ns),
         ("shared_adopt_ns", stats.shared_adopt_ns),
         ("intercepted_calls", stats.intercepted_calls),
+        ("dispatch_resolutions", stats.dispatch_resolutions),
         ("sched_tasks_enqueued", stats.sched_tasks_enqueued),
         ("sched_tasks_completed", stats.sched_tasks_completed),
         ("sched_tasks_stale", stats.sched_tasks_stale),

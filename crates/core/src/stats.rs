@@ -68,6 +68,11 @@ pub struct EngineStats {
     pub shared_adopt_ns: u64,
     /// Calls that went through the engine hook.
     pub intercepted_calls: u64,
+    /// Dispatch resolutions computed: misses of the engine's per-dispatch
+    /// memo (receiver chain walked for `pre` contracts and the
+    /// annotation). Zero in steady state; any type-table, `pre` or class
+    /// hierarchy change clears the memo.
+    pub dispatch_resolutions: u64,
     /// Check tasks this engine enqueued onto the concurrent scheduler
     /// (deferred JIT admissions and parallel `check_all` fan-out).
     pub sched_tasks_enqueued: u64,

@@ -12,8 +12,9 @@ use hb_types::parse_method_type;
 use std::rc::Rc;
 
 /// Installs RDL into an interpreter: stores the state extension and
-/// registers the annotation builtins. The `pre`-contract hook is registered
-/// separately via [`crate::hook::RdlHook`].
+/// registers the annotation builtins. `pre` contracts run at dispatch
+/// through [`crate::pre::run_pres`], which the embedding's call hook
+/// drives.
 pub fn install(interp: &mut Interp) -> Rc<RdlState> {
     let state = Rc::new(RdlState::new());
     interp.set_extension(state.clone());

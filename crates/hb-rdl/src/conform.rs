@@ -37,8 +37,18 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
         Type::Nil => matches!(v, Value::Nil),
         Type::Union(arms) => arms.iter().any(|a| value_conforms(interp, v, a)),
         Type::Nominal(n) => {
-            if matches!(v, Value::Bool(_)) {
-                return n == "Boolean" || n == "Object";
+            // A scalar's class is fixed by its kind: answer an exact
+            // match without probing the registry by name.
+            let builtin = match v {
+                Value::Bool(_) => return n == "Boolean" || n == "Object",
+                Value::Int(_) => "Fixnum",
+                Value::Float(_) => "Float",
+                Value::Str(_) => "String",
+                Value::Sym(_) => "Symbol",
+                _ => "",
+            };
+            if builtin == n {
+                return true;
             }
             let have = interp.registry.class_of(v);
             interp
@@ -46,21 +56,21 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
                 .is_descendant_name(interp.registry.name(have), n)
         }
         Type::Generic(n, args) => {
+            let arg = |i: usize| args.get(i).unwrap_or(&Type::Any);
             match (n.as_str(), v) {
                 ("Array", Value::Array(a)) => {
-                    let elem = args.first().cloned().unwrap_or(Type::Any);
-                    a.borrow().iter().all(|e| value_conforms(interp, e, &elem))
+                    let elem = arg(0);
+                    a.borrow().iter().all(|e| value_conforms(interp, e, elem))
                 }
                 ("Hash", Value::Hash(h)) => {
-                    let kt = args.first().cloned().unwrap_or(Type::Any);
-                    let vt = args.get(1).cloned().unwrap_or(Type::Any);
+                    let (kt, vt) = (arg(0), arg(1));
                     h.borrow().iter().all(|(k, val)| {
-                        value_conforms(interp, k, &kt) && value_conforms(interp, val, &vt)
+                        value_conforms(interp, k, kt) && value_conforms(interp, val, vt)
                     })
                 }
                 ("Range", Value::Range(r)) => {
-                    let elem = args.first().cloned().unwrap_or(Type::Any);
-                    value_conforms(interp, &r.0, &elem) && value_conforms(interp, &r.1, &elem)
+                    let elem = arg(0);
+                    value_conforms(interp, &r.0, elem) && value_conforms(interp, &r.1, elem)
                 }
                 _ => {
                     // Other generics conform by base class.

@@ -42,12 +42,11 @@
 
 pub mod builtins;
 pub mod conform;
-pub mod hook;
+pub mod pre;
 pub mod state;
 
 pub use builtins::install as install_rdl;
 pub use conform::{type_of, value_conforms};
-pub use hook::RdlHook;
 pub use state::{
     AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlEventSink,
     RdlState, RdlStats, Resolution, TableEntry, DEFAULT_DIAGNOSTICS_CAP,

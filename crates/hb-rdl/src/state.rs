@@ -269,6 +269,9 @@ pub struct RdlInner {
     /// Global-variable types.
     gvar_types: HashMap<String, (Type, Span)>,
     pres: HashMap<MethodKey, Vec<PreHook>>,
+    /// Monotonic generation of `pres`: bumped by every `add_pre`, never
+    /// otherwise (see [`RdlState::pre_generation`]).
+    pre_gen: u64,
     events: Vec<RdlEvent>,
     /// Keys consulted by the static checker (Table 1 "Used" needs the
     /// dynamic subset).
@@ -308,7 +311,7 @@ pub struct RdlInner {
     method_policies: HashMap<MethodKey, CheckPolicy>,
     /// Blames swallowed by [`CheckPolicy::Shadow`] across every layer —
     /// static checks, dynamic argument checks AND preconditions (the
-    /// latter blame from `hook.rs`, which has no engine statistics, so
+    /// latter blame from `pre.rs`, which has no engine statistics, so
     /// the counter lives here and `EngineStats` snapshots it).
     shadowed_blames: u64,
 }
@@ -401,8 +404,7 @@ impl RdlState {
         span: Span,
     ) {
         let mut inner = self.inner.borrow_mut();
-        inner.version_counter += 1;
-        let version = inner.version_counter;
+        let version = inner.version_counter + 1;
         // Fingerprint string contents, not Sym indices: indices depend on
         // process-local interning order, and this fingerprint is compared
         // across processes by the snapshot warm-boot path.
@@ -418,7 +420,21 @@ impl RdlState {
                 replace,
             ),
         );
+        let mut changed = true;
         let event = match inner.table.get_mut(&key) {
+            Some(shared)
+                if !replace
+                    && shared.sig.arms.contains(&mt)
+                    && (shared.check || !check)
+                    && (shared.always_dyn_check || !always_dyn_check)
+                    && (shared.span != Span::dummy() || span == Span::dummy()) =>
+            {
+                // Re-registering what the entry already says (a Fig. 2
+                // pre re-typing a generated method on every call) is no
+                // change: the generation stays, so memos keyed by it do.
+                changed = false;
+                None
+            }
             Some(shared) => {
                 // Entries are shared with the engine via `Rc`; annotation
                 // updates are rare (the annotate phase), so copy-on-write
@@ -464,6 +480,9 @@ impl RdlState {
                 Some(RdlEvent::TypeAdded(key))
             }
         };
+        if changed {
+            inner.version_counter += 1;
+        }
         if let Some(ev) = event {
             inner.events.push(ev.clone());
             drop(inner);
@@ -691,30 +710,36 @@ impl RdlState {
 
     /// Attaches a `pre` contract.
     pub fn add_pre(&self, key: MethodKey, hook: PreHook) {
-        self.inner
-            .borrow_mut()
-            .pres
-            .entry(key)
-            .or_default()
-            .push(hook);
+        {
+            let mut inner = self.inner.borrow_mut();
+            inner.pres.entry(key).or_default().push(hook);
+            inner.pre_gen += 1;
+        }
         self.notify_enforcement_changed();
     }
 
-    /// True when no `pre` contracts exist at all — lets the dispatch hook
-    /// skip the ancestor walk entirely in the common case.
+    /// True when no `pre` contracts exist at all — lets a dispatch
+    /// resolution skip the ancestor walk entirely in the common case.
     pub fn no_pres(&self) -> bool {
         self.inner.borrow().pres.is_empty()
     }
 
-    /// True when no `pre` contract anywhere is registered under this
-    /// method name — the per-method gate the fast-prologue patcher uses.
-    /// Pres match along the receiver's whole ancestor chain, so the gate
-    /// is name-wide rather than key-exact; a pre on an unrelated method
-    /// must not forbid eliding this one's probe. Pres added later are
-    /// covered by the enforcement-change flush.
-    pub fn no_pre_named(&self, method: Sym, class_level: bool) -> bool {
-        !self
-            .inner
+    /// Monotonic generation of the `pre` contracts: bumped by every
+    /// [`RdlState::add_pre`], never otherwise. Together with
+    /// [`RdlState::table_generation`] it stamps memos of per-dispatch
+    /// resolutions (which contracts and which annotation apply).
+    pub fn pre_generation(&self) -> u64 {
+        self.inner.borrow().pre_gen
+    }
+
+    /// True when some `pre` contract, on any class, is registered under
+    /// this method name. The fast-entry patch gate is name-wide: a class
+    /// rename or superclass rewire can bring any such contract onto a
+    /// receiver's chain without flushing patches, while a contract added
+    /// later flushes them itself. Scans every contract key, so callers
+    /// memoise the answer.
+    pub fn any_pre_named(&self, method: Sym, class_level: bool) -> bool {
+        self.inner
             .borrow()
             .pres
             .keys()
