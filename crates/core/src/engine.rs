@@ -11,8 +11,8 @@
 
 use crate::info::RegistryInfo;
 use crate::obs::EngineObs;
-use crate::sched::{capture_world, sort_diagnostics};
-use crate::shared_cache::{SharedCache, SharedDep, SharedEvictionSink};
+use crate::sched::{capture_world, sort_diagnostics, world_epochs};
+use crate::shared_cache::{SharedCache, SharedEvictionSink};
 use crate::stats::{CheckLogItem, CheckVerdict, EngineStats, PhaseTracker};
 use hb_check::{check_sig, CheckOptions, CheckPolicy, CheckRequest};
 use hb_il::{lower_block_body, lower_method, MethodCfg};
@@ -25,7 +25,9 @@ use hb_rdl::{
     type_of, value_conforms, AnnotationSource, MethodKey, PreHook, RdlEvent, RdlEventSink,
     RdlState, Resolution, TableEntry,
 };
-use hb_sched::{CheckTask, CompletionQueue, Scheduler, TaskCompletion, TaskVerdict, WorldSnapshot};
+use hb_sched::{
+    CheckTask, CompletionQueue, DepFact, Scheduler, TaskCompletion, TaskVerdict, WorldSnapshot,
+};
 use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, Span, TypeDiagnostic};
 use hb_types::TypeEnv;
 use std::cell::{Cell, RefCell};
@@ -76,6 +78,39 @@ struct CacheEntry {
     /// a name is a resolution change with no shadowed entry to hang
     /// Definition 1(2) on, so these get their own edges.
     neg_deps: BTreeSet<(Sym, bool)>,
+}
+
+impl CacheEntry {
+    /// The entry for a derivation described by dependency facts — a
+    /// scheduler worker's, or another tenant's from the shared tier.
+    fn from_facts(method_entry_id: u64, sig_version: u64, facts: &[DepFact]) -> CacheEntry {
+        CacheEntry {
+            method_entry_id,
+            sig_version,
+            deps: facts.iter().filter_map(|d| d.resolution.target).collect(),
+            neg_deps: neg_deps(facts.iter().map(|d| &d.resolution)),
+        }
+    }
+}
+
+/// The negative (TApp) facts among `resolutions`: the `(method,
+/// class_level)` lookups that resolved to no annotation.
+fn neg_deps<'r>(resolutions: impl Iterator<Item = &'r Resolution>) -> BTreeSet<(Sym, bool)> {
+    resolutions
+        .filter(|r| r.target.is_none())
+        .map(|r| (r.method, r.class_level))
+        .collect()
+}
+
+/// A derivation's shared-tier publication: what another tenant needs to
+/// validate it without re-deriving (see [`crate::SharedDerivation`]).
+struct Publication {
+    shared: Arc<SharedCache>,
+    body_fp: u64,
+    own_sig_fp: u64,
+    epochs: (u64, u64, u64),
+    deps: Vec<DepFact>,
+    cast_sites: Vec<(u32, u32, u32)>,
 }
 
 /// One cached derivation as reported by [`Engine::cache_dump`]: the cache
@@ -136,25 +171,33 @@ struct DispatchResolution {
     patchable: bool,
 }
 
+/// A set of cache keys, with the same fixed hasher as the maps below.
+type KeySet = HashSet<MethodKey, hb_intern::FastBuildHasher>;
+
+/// The maps that reloads churn (the cache, its edge maps, the CFGs and
+/// the fingerprint memo) use the fixed-seed [`hb_intern::FastMap`]
+/// hasher: with a per-process random seed their table layout, and so the
+/// point at which they grow, varied between runs, and a reload's
+/// allocation count did not repeat.
 #[derive(Default)]
 struct EngineState {
     /// Keyed with [`hb_intern::FastMap`]: `ensure_checked` probes this
     /// map on every intercepted call of a check-flagged method.
     cache: hb_intern::FastMap<MethodKey, CacheEntry>,
     /// dep (annotation key) → cache keys whose derivations used it.
-    dependents: HashMap<MethodKey, HashSet<MethodKey>>,
+    dependents: hb_intern::FastMap<MethodKey, KeySet>,
     /// `(method, class_level)` → cache keys whose derivations relied on
     /// that lookup resolving to *nothing* (see [`CacheEntry::neg_deps`]).
     /// Conservative — keyed by name, not receiver chain — so a first-ever
     /// annotation may re-check a method whose chain never sees it; a
     /// re-check is cheap and the edge map stays receiver-independent.
-    neg_dependents: HashMap<(Sym, bool), HashSet<MethodKey>>,
+    neg_dependents: hb_intern::FastMap<(Sym, bool), KeySet>,
     /// Lowered bodies by method-entry id (also used for reload diffing).
     /// `Arc` so a scheduler `CheckTask` captures the CFG without a deep
     /// clone — lowering is cold-path either way.
-    cfgs: HashMap<u64, Arc<MethodCfg>>,
+    cfgs: hb_intern::FastMap<u64, Arc<MethodCfg>>,
     /// Memoised signature-content fingerprints by (key, version).
-    sig_fps: HashMap<(MethodKey, u64), u64>,
+    sig_fps: hb_intern::FastMap<(MethodKey, u64), u64>,
     /// Memoised replay results per resolution witness, valid for one
     /// (type-table, class-hierarchy) generation pair — the warm tenants'
     /// adoption fast path validates whole dependency sets from this map.
@@ -462,14 +505,27 @@ impl Engine {
         }
     }
 
-    /// Appends to the bounded check log: failures recur on every call
-    /// (never cached), so the log is a window, not a ledger.
+    /// Counts one performed check (passed or blamed, with its duration)
+    /// and appends it to the bounded check log: failures recur on every
+    /// call (never cached), so the log is a window, not a ledger.
     ///
     /// Every logged duration also feeds the observability check-duration
     /// histogram (when collecting), so the log's retention cap bounds
     /// only the per-item records — timing data is aggregated before the
     /// window can discard it.
-    fn push_check_log(&self, st: &mut EngineState, item: CheckLogItem) {
+    fn log_check(&self, st: &mut EngineState, key: MethodKey, outcome: CheckVerdict, ns: u64) {
+        if outcome.passed() {
+            st.stats.checks_performed += 1;
+            st.stats.check_ns += ns;
+        } else {
+            st.stats.checks_failed += 1;
+            st.stats.failed_check_ns += ns;
+        }
+        let item = CheckLogItem {
+            key,
+            outcome,
+            duration_ns: ns,
+        };
         if let Some(obs) = &st.obs {
             obs.checks_observed.inc();
             obs.check_duration.record(item.duration_ns);
@@ -577,11 +633,7 @@ impl Engine {
     /// memoised so extraction bursts against a quiescent table capture
     /// once.
     fn world_for(&self, st: &mut EngineState, interp: &Interp) -> Arc<WorldSnapshot> {
-        let epochs = (
-            self.rdl.table_fingerprint(),
-            interp.registry.shape_fingerprint(),
-            self.rdl.var_fingerprint(),
-        );
+        let epochs = world_epochs(interp, &self.rdl);
         if let Some((at, world)) = &st.world_memo {
             if *at == epochs {
                 return world.clone();
@@ -706,28 +758,19 @@ impl Engine {
         match &c.verdict {
             TaskVerdict::Pass { deps, cast_sites } => {
                 let mut st = self.state.borrow_mut();
-                let epochs = (
-                    self.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    self.rdl.var_fingerprint(),
-                );
-                // Same validity test as shared-tier adoption: identical
-                // epochs, or exact hierarchy/variable fingerprints plus a
-                // full witness replay (benign divergence — e.g. an
-                // unrelated annotation landed while the task was in
-                // flight — still adopts; anything the derivation actually
-                // depends on rejects).
-                let valid = c.epochs == epochs
-                    || (c.epochs.1 == epochs.1
-                        && c.epochs.2 == epochs.2
-                        && c.own_sig_fp == st.sig_fp(c.ann_key, &entry)
-                        && self.witnesses_valid(
-                            &mut st,
-                            interp,
-                            deps.iter()
-                                .map(|d| (&d.resolution, d.sig_version, d.sig_fingerprint)),
-                        ));
-                if !valid {
+                // Same validity test as shared-tier adoption: benign
+                // divergence (e.g. an unrelated annotation landed while
+                // the task was in flight) still adopts; anything the
+                // derivation actually depends on rejects.
+                if !self.derivation_valid(
+                    &mut st,
+                    interp,
+                    c.epochs,
+                    c.own_sig_fp,
+                    c.ann_key,
+                    &entry,
+                    deps,
+                ) {
                     st.stats.sched_tasks_stale += 1;
                     if let Some(obs) = &st.obs {
                         // The admission stays stamped: a requeue is the
@@ -741,16 +784,7 @@ impl Engine {
                     return;
                 }
                 self.rdl.mark_used(&c.ann_key);
-                st.stats.checks_performed += 1;
-                st.stats.check_ns += c.duration_ns;
-                self.push_check_log(
-                    &mut st,
-                    CheckLogItem {
-                        key: c.cache_key,
-                        outcome: CheckVerdict::Pass,
-                        duration_ns: c.duration_ns,
-                    },
-                );
+                self.log_check(&mut st, c.cache_key, CheckVerdict::Pass, c.duration_ns);
                 st.stats.checked_methods.insert(c.cache_key.display());
                 st.stats.cast_sites.extend(cast_sites.iter().copied());
                 st.phase.note_check();
@@ -763,56 +797,21 @@ impl Engine {
                 if !self.config.borrow().caching {
                     return;
                 }
-                if let Some(old) = st.cache.remove(&c.cache_key) {
-                    st.depatch(&c.cache_key);
-                    Self::unlink(&mut st, &c.cache_key, &old);
-                }
-                let dep_keys: BTreeSet<MethodKey> =
-                    deps.iter().filter_map(|d| d.resolution.target).collect();
-                for dep in &dep_keys {
-                    self.rdl.mark_used(dep);
-                    st.dependents.entry(*dep).or_default().insert(c.cache_key);
-                }
-                let neg_deps: BTreeSet<(Sym, bool)> = deps
-                    .iter()
-                    .filter(|d| d.resolution.target.is_none())
-                    .map(|d| (d.resolution.method, d.resolution.class_level))
-                    .collect();
-                for nd in &neg_deps {
-                    st.neg_dependents
-                        .entry(*nd)
-                        .or_default()
-                        .insert(c.cache_key);
-                }
                 // Publish onward so other tenants adopt the worker's
                 // derivation exactly as they adopt a tenant-published one.
-                if let (Some(shared), Some(body_fp)) = (self.shared.borrow().as_ref(), c.body_fp) {
-                    shared.insert(
-                        c.cache_key,
-                        c.entry_id,
-                        c.sig_version,
-                        body_fp,
-                        c.own_sig_fp,
-                        c.epochs,
-                        deps.iter()
-                            .map(|d| SharedDep {
-                                resolution: d.resolution,
-                                sig_version: d.sig_version,
-                                sig_fingerprint: d.sig_fingerprint,
-                            })
-                            .collect(),
-                        cast_sites.clone(),
-                    );
-                }
-                st.cache.insert(
-                    c.cache_key,
-                    CacheEntry {
-                        method_entry_id: c.entry_id,
-                        sig_version: c.sig_version,
-                        deps: dep_keys,
-                        neg_deps,
-                    },
-                );
+                let publish =
+                    self.shared_cache()
+                        .zip(c.body_fp)
+                        .map(|(shared, body_fp)| Publication {
+                            shared,
+                            body_fp,
+                            own_sig_fp: c.own_sig_fp,
+                            epochs: c.epochs,
+                            deps: deps.clone(),
+                            cast_sites: cast_sites.clone(),
+                        });
+                let derived = CacheEntry::from_facts(c.entry_id, c.sig_version, deps);
+                self.install(&mut st, c.cache_key, derived, publish);
             }
             TaskVerdict::Blame(diag) => {
                 if !c.record_blame {
@@ -821,12 +820,7 @@ impl Engine {
                     // never cached, so nothing is lost).
                     return;
                 }
-                let epochs = (
-                    self.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    self.rdl.var_fingerprint(),
-                );
-                if c.epochs != epochs {
+                if c.epochs != world_epochs(interp, &self.rdl) {
                     // The world moved while the blame was in flight: the
                     // judgement may no longer hold (e.g. the blamed callee
                     // annotation was fixed meanwhile). A failed check
@@ -844,37 +838,15 @@ impl Engine {
                     self.requeue_deferred(interp, &c, &entry, &mentry);
                     return;
                 }
-                let code = diag.code;
                 let mut diag = diag.clone();
-                let checker_span_dummy = diag.span == Span::dummy();
-                if let Some(call) = c.trigger {
-                    diag.labels.push(DiagLabel::new(
-                        LabelRole::CallSite,
-                        "checked just-in-time at this call",
-                        call,
-                    ));
-                    if checker_span_dummy {
-                        diag.labels.push(DiagLabel::new(
-                            LabelRole::Note,
-                            "blamed code has no source span (synthesized or core-library definition)",
-                            Span::dummy(),
-                        ));
-                        diag.span = call;
-                    }
-                } else if checker_span_dummy {
-                    diag.span = entry.span;
-                }
+                anchor_blame(&mut diag, c.trigger, entry.span);
                 diag.labels.push(CheckPolicy::deferred_note());
                 let mut st = self.state.borrow_mut();
-                st.stats.checks_failed += 1;
-                st.stats.failed_check_ns += c.duration_ns;
-                self.push_check_log(
+                self.log_check(
                     &mut st,
-                    CheckLogItem {
-                        key: c.cache_key,
-                        outcome: CheckVerdict::Blame(code),
-                        duration_ns: c.duration_ns,
-                    },
+                    c.cache_key,
+                    CheckVerdict::Blame(diag.code),
+                    c.duration_ns,
                 );
                 st.phase.note_check();
                 if let Some(obs) = &st.obs {
@@ -902,23 +874,13 @@ impl Engine {
                     "the panic was contained to this task; the worker pool and every other queued check survived",
                     Span::dummy(),
                 ));
-                if let Some(call) = c.trigger {
-                    diag.labels.push(DiagLabel::new(
-                        LabelRole::CallSite,
-                        "checked just-in-time at this call",
-                        call,
-                    ));
-                }
+                anchor_blame(&mut diag, c.trigger, entry.span);
                 let mut st = self.state.borrow_mut();
-                st.stats.checks_failed += 1;
-                st.stats.failed_check_ns += c.duration_ns;
-                self.push_check_log(
+                self.log_check(
                     &mut st,
-                    CheckLogItem {
-                        key: c.cache_key,
-                        outcome: CheckVerdict::Blame(DiagCode::CheckerPanic),
-                        duration_ns: c.duration_ns,
-                    },
+                    c.cache_key,
+                    CheckVerdict::Blame(DiagCode::CheckerPanic),
+                    c.duration_ns,
                 );
                 if let Some(obs) = &st.obs {
                     obs.record_span(hb_obs::EventKind::TaskHarvest, c.cache_key, c.duration_ns);
@@ -930,12 +892,11 @@ impl Engine {
         }
     }
 
-    /// Re-extracts and re-enqueues a deferred check whose completion was
-    /// discarded as stale while its method identity stayed current: the
-    /// fresh task captures the *current* world, so the method's real
-    /// status (pass or blame) is re-established at the next harvest
-    /// instead of being silently lost. No-op when a task for the key is
-    /// already in flight.
+    /// Re-enqueues a deferred check whose completion was discarded as
+    /// stale while its method identity stayed current: the fresh task
+    /// captures the *current* world, so the method's real status (pass or
+    /// blame) is re-established at the next harvest instead of being
+    /// silently lost. No-op when a task for the key is already in flight.
     fn requeue_deferred(
         &self,
         interp: &Interp,
@@ -943,49 +904,81 @@ impl Engine {
         entry: &TableEntry,
         mentry: &hb_interp::MethodEntry,
     ) {
-        if self.state.borrow().in_flight.contains(&c.cache_key) {
-            return;
+        if !self.state.borrow().in_flight.contains(&c.cache_key) {
+            self.defer(
+                interp,
+                c.cache_key,
+                c.ann_key,
+                entry,
+                mentry,
+                c.policy,
+                c.trigger,
+            );
         }
-        let captured: Option<TypeEnv> = match &mentry.body {
-            MethodBody::FromProc(p) => Some(
-                p.env
-                    .collect_bindings()
-                    .into_iter()
-                    .map(|(k, v)| (k, type_of(interp, &v)))
-                    .collect(),
-            ),
-            _ => None,
-        };
-        let cfg = {
-            let cached = self.state.borrow().cfgs.get(&mentry.id).cloned();
-            match cached {
-                Some(cfg) => cfg,
-                None => {
-                    let Some(lowered) = lower_entry(mentry) else {
-                        return;
-                    };
-                    let cfg = Arc::new(lowered);
-                    self.state.borrow_mut().cfgs.insert(mentry.id, cfg.clone());
-                    cfg
-                }
-            }
+    }
+
+    /// Enqueues a deferred admission's check, latching its key in flight
+    /// until the completion is harvested — a hot cold method enqueues one
+    /// task, not one per call.
+    #[allow(clippy::too_many_arguments)]
+    fn defer(
+        &self,
+        interp: &Interp,
+        cache_key: MethodKey,
+        ann_key: MethodKey,
+        entry: &TableEntry,
+        mentry: &hb_interp::MethodEntry,
+        policy: CheckPolicy,
+        trigger: Option<Span>,
+    ) {
+        self.state.borrow_mut().in_flight.insert(cache_key);
+        let sched = self.ensure_scheduler();
+        let accepted = self.submit_check(
+            interp, &sched, cache_key, ann_key, entry, mentry, policy, trigger, true,
+        );
+        if !accepted {
+            // The pool is shutting down: the task will never run, so the
+            // key must not stay latched in flight (the next call
+            // re-attempts the admission).
+            self.state.borrow_mut().in_flight.remove(&cache_key);
+        }
+    }
+
+    /// Extracts one check as an owned [`CheckTask`] — body CFG, captured
+    /// locals, signature, and the world snapshot with its epoch
+    /// fingerprints — and submits it to `sched`. Returns whether the task
+    /// will run: false when the body cannot be lowered or the pool is
+    /// shutting down.
+    #[allow(clippy::too_many_arguments)]
+    fn submit_check(
+        &self,
+        interp: &Interp,
+        sched: &Scheduler,
+        cache_key: MethodKey,
+        ann_key: MethodKey,
+        entry: &TableEntry,
+        mentry: &hb_interp::MethodEntry,
+        policy: CheckPolicy,
+        trigger: Option<Span>,
+        record_blame: bool,
+    ) -> bool {
+        let captured = captured_env(interp, mentry);
+        let Some(cfg) = self.cfg_for(mentry) else {
+            return false;
         };
         let body_fp = body_fingerprint(interp, mentry, captured.as_ref());
         let mut st = self.state.borrow_mut();
         let world = self.world_for(&mut st, interp);
-        let own_sig_fp = st.sig_fp(c.ann_key, entry);
-        st.in_flight.insert(c.cache_key);
+        let own_sig_fp = st.sig_fp(ann_key, entry);
         st.stats.sched_tasks_enqueued += 1;
-        let submitted_at = if let Some(obs) = &st.obs {
-            obs.record(hb_obs::EventKind::TaskEnqueue, c.cache_key);
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let submitted_at = st.obs.as_ref().map(|obs| {
+            obs.record(hb_obs::EventKind::TaskEnqueue, cache_key);
+            std::time::Instant::now()
+        });
         drop(st);
-        let accepted = self.ensure_scheduler().submit(CheckTask {
-            cache_key: c.cache_key,
-            ann_key: c.ann_key,
+        sched.submit(CheckTask {
+            cache_key,
+            ann_key,
             ann_span: entry.span,
             sig: entry.sig.clone(),
             entry_id: mentry.id,
@@ -995,18 +988,24 @@ impl Engine {
             cfg,
             captured,
             world,
-            policy: c.policy,
-            trigger: c.trigger,
-            record_blame: true,
+            policy,
+            trigger,
+            record_blame,
             opts: self.check_opts,
             completions: self.completions.clone(),
             submitted_at,
-        });
-        if !accepted {
-            // The pool is shutting down: the task will never run, so the
-            // key must not stay latched in flight.
-            self.state.borrow_mut().in_flight.remove(&c.cache_key);
+        })
+    }
+
+    /// `mentry`'s lowered body, lowering (and memoising) it on first use;
+    /// `None` for builtins.
+    fn cfg_for(&self, mentry: &hb_interp::MethodEntry) -> Option<Arc<MethodCfg>> {
+        if let Some(cfg) = self.state.borrow().cfgs.get(&mentry.id) {
+            return Some(cfg.clone());
         }
+        let cfg = Arc::new(lower_entry(mentry)?);
+        self.state.borrow_mut().cfgs.insert(mentry.id, cfg.clone());
+        Some(cfg)
     }
 
     /// Current configuration.
@@ -1356,13 +1355,19 @@ impl Engine {
     /// Definition 1(2).
     fn invalidate_dependents_of(st: &mut EngineState, key: &MethodKey) {
         if let Some(deps) = st.dependents.remove(key) {
-            for d in deps {
-                if let Some(old) = st.cache.remove(&d) {
-                    st.stats.dependent_invalidations += 1;
-                    st.depatch(&d);
-                    Self::note_invalidated(st, &d);
-                    Self::unlink(st, &d, &old);
-                }
+            Self::invalidate_all(st, deps);
+        }
+    }
+
+    /// Removes the cache entries of `dependents`, counting each actual
+    /// removal as a dependent invalidation.
+    fn invalidate_all(st: &mut EngineState, dependents: KeySet) {
+        for d in dependents {
+            if let Some(old) = st.cache.remove(&d) {
+                st.stats.dependent_invalidations += 1;
+                st.depatch(&d);
+                Self::note_invalidated(st, &d);
+                Self::unlink(st, &d, &old);
             }
         }
     }
@@ -1373,14 +1378,7 @@ impl Engine {
     /// for [`Engine::invalidate_shadowed`]'s walk to find.
     fn invalidate_neg_dependents(st: &mut EngineState, method: Sym, class_level: bool) {
         if let Some(deps) = st.neg_dependents.remove(&(method, class_level)) {
-            for d in deps {
-                if let Some(old) = st.cache.remove(&d) {
-                    st.stats.dependent_invalidations += 1;
-                    st.depatch(&d);
-                    Self::note_invalidated(st, &d);
-                    Self::unlink(st, &d, &old);
-                }
-            }
+            Self::invalidate_all(st, deps);
         }
     }
 
@@ -1494,41 +1492,42 @@ impl Engine {
             // The include may make a previously-missing lookup resolve to
             // this module annotation (None→Some along the new chain).
             Self::invalidate_neg_dependents(st, mk.method, mk.class_level);
-            let mut past_module = false;
-            for (_, ancestor) in interp.registry.ancestor_syms(class) {
-                if ancestor == module_sym {
-                    past_module = true;
-                    continue;
-                }
-                if !past_module {
-                    continue;
-                }
-                let shadowed = MethodKey {
-                    class: ancestor,
-                    class_level: mk.class_level,
-                    method: mk.method,
-                };
-                if self.rdl.entry(&shadowed).is_some() {
-                    // Local tier only — see `invalidate_shadowed`.
-                    Self::invalidate_dependents_of(st, &shadowed);
-                    break;
-                }
-            }
+            self.invalidate_shadowed_along(st, interp, class, module_sym, &mk);
         }
     }
 
-    /// Replays a derivation's (TApp) resolution witnesses against the
-    /// *current* table, comparing each answer's key, version and content
-    /// fingerprint to the values the derivation was built against. Used
-    /// by the shared-tier adoption path and by scheduler-completion
-    /// landing — the same Definition-1 validity test, structural instead
-    /// of by re-derivation.
-    fn witnesses_valid<'d>(
+    /// Whether a derivation made elsewhere — by another tenant, or on a
+    /// scheduler worker — against the world whose epoch fingerprints were
+    /// `at` is valid here, now: Definition 1, validated structurally
+    /// instead of by re-derivation.
+    ///
+    /// Equal epochs mean this tenant performed the identical
+    /// table/hierarchy mutation sequence, so every dependency (witnesses
+    /// *and* ivar/cvar/gvar types) holds by construction. Otherwise the
+    /// class hierarchy and variable types, which have no per-use
+    /// witnesses (check_sig makes is_subtype judgements straight off the
+    /// hierarchy), must match exactly; the method's own signature must
+    /// match by content; and every (TApp) resolution witness must replay
+    /// against the current table to the same key, version and content
+    /// fingerprint.
+    #[allow(clippy::too_many_arguments)]
+    fn derivation_valid(
         &self,
         st: &mut EngineState,
         interp: &Interp,
-        deps: impl Iterator<Item = (&'d Resolution, u64, u64)>,
+        at: (u64, u64, u64),
+        own_sig_fp: u64,
+        ann_key: MethodKey,
+        entry: &TableEntry,
+        deps: &[DepFact],
     ) -> bool {
+        let now = world_epochs(interp, &self.rdl);
+        if at == now {
+            return true;
+        }
+        if at.1 != now.1 || at.2 != now.2 || own_sig_fp != st.sig_fp(ann_key, entry) {
+            return false;
+        }
         let gen = (
             self.rdl.table_generation(),
             interp.registry.hierarchy_generation(),
@@ -1537,18 +1536,60 @@ impl Engine {
             st.dep_memo.clear();
             st.dep_memo_gen = gen;
         }
-        for (res, at_version, at_fp) in deps {
-            let cur = st.replay(interp, &self.rdl, res);
-            let ok = match (res.target, cur) {
+        deps.iter().all(|d| {
+            match (
+                d.resolution.target,
+                st.replay(interp, &self.rdl, &d.resolution),
+            ) {
                 (None, None) => true,
-                (Some(t), Some((k, v, fp))) => k == t && v == at_version && fp == at_fp,
+                (Some(t), Some((k, v, fp))) => {
+                    k == t && v == d.sig_version && fp == d.sig_fingerprint
+                }
                 _ => false,
-            };
-            if !ok {
-                return false;
             }
+        })
+    }
+
+    /// Installs a derivation in the local cache — the one place every
+    /// derivation lands, whether checked here, adopted from the shared
+    /// tier or harvested from a worker: retires any stale entry under the
+    /// key (old entry id or sig version), marks each dependency used,
+    /// registers the Definition-1 dependency edges, publishes to the
+    /// shared tier when asked, and inserts the entry.
+    fn install(
+        &self,
+        st: &mut EngineState,
+        key: MethodKey,
+        entry: CacheEntry,
+        publish: Option<Publication>,
+    ) {
+        if let Some(old) = st.cache.remove(&key) {
+            st.depatch(&key);
+            Self::unlink(st, &key, &old);
         }
-        true
+        for dep in &entry.deps {
+            // A real check marks every consulted annotation used; adoption
+            // and harvest stand in for the check, so the Used statistic
+            // must not diverge between warm and cold tenants.
+            self.rdl.mark_used(dep);
+            st.dependents.entry(*dep).or_default().insert(key);
+        }
+        for nd in &entry.neg_deps {
+            st.neg_dependents.entry(*nd).or_default().insert(key);
+        }
+        if let Some(p) = publish {
+            p.shared.insert(
+                key,
+                entry.method_entry_id,
+                entry.sig_version,
+                p.body_fp,
+                p.own_sig_fp,
+                p.epochs,
+                p.deps,
+                p.cast_sites,
+            );
+        }
+        st.cache.insert(key, entry);
     }
 
     // ----- the just-in-time check ---------------------------------------------
@@ -1594,33 +1635,18 @@ impl Engine {
         // a derivation (check_ns) or a shared-tier adoption
         // (shared_adopt_ns); the split feeds the multi-tenant probe.
         let t_first = std::time::Instant::now();
-        // Captured locals of define_method procs are typed from their
-        // runtime values — the just-in-time analogue of Fig. 2. Computed
-        // up front because the shared-tier body fingerprint covers them.
-        let captured: Option<TypeEnv> = match &info.entry.body {
-            MethodBody::FromProc(p) => {
-                let env: TypeEnv = p
-                    .env
-                    .collect_bindings()
-                    .into_iter()
-                    .map(|(k, v)| (k, type_of(interp, &v)))
-                    .collect();
-                Some(env)
-            }
-            _ => None,
-        };
+        // Computed up front because the shared-tier body fingerprint
+        // covers the captured locals.
+        let captured = captured_env(interp, &info.entry);
         // Probe the process-wide shared tier before doing any real work.
         // The body fingerprint (file content hash + definition span) is
         // O(1), so a warm tenant resolves its first call with a couple of
         // hash probes and never lowers, let alone checks. Another tenant's
-        // derivation is valid for *this* tenant iff the body text, the
-        // method's own signature and every dependency signature all match
-        // what the derivation was checked against — by version *and*
-        // content fingerprint: Definition 1's conditions, validated
-        // structurally instead of by re-derivation.
+        // derivation is valid for *this* tenant iff the body text matches
+        // and `derivation_valid` holds.
         let body_fp = body_fingerprint(interp, &info.entry, captured.as_ref());
         let shared_fp: Option<(Arc<SharedCache>, u64)> = if caching {
-            self.shared.borrow().clone().zip(body_fp)
+            self.shared_cache().zip(body_fp)
         } else {
             None
         };
@@ -1628,34 +1654,15 @@ impl Engine {
             if let Some(d) = shared.lookup(cache_key, info.entry.id, table_entry.version, *body_fp)
             {
                 let mut st = self.state.borrow_mut();
-                // Epoch fast path: equal rolling fingerprints mean this
-                // tenant performed the identical table/hierarchy mutation
-                // sequence as the publisher — every dependency (witnesses
-                // *and* ivar/cvar/gvar types) holds by construction.
-                let epochs = (
-                    self.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    self.rdl.var_fingerprint(),
-                );
-                let valid = (d.table_fp, d.hier_fp, d.var_fp) == epochs || {
-                    // Divergent tenant: replay every witness against this
-                    // tenant's own table. The class hierarchy and variable
-                    // types have no per-use witnesses — check_sig makes
-                    // is_subtype judgements straight off the hierarchy —
-                    // so both fingerprints must match exactly even here;
-                    // replay then covers table/annotation divergence only.
-                    d.hier_fp == epochs.1
-                        && d.var_fp == epochs.2
-                        && d.own_sig_fingerprint == st.sig_fp(*annotation_key, table_entry)
-                        && self.witnesses_valid(
-                            &mut st,
-                            interp,
-                            d.deps
-                                .iter()
-                                .map(|dep| (&dep.resolution, dep.sig_version, dep.sig_fingerprint)),
-                        )
-                };
-                if valid {
+                if self.derivation_valid(
+                    &mut st,
+                    interp,
+                    (d.table_fp, d.hier_fp, d.var_fp),
+                    d.own_sig_fingerprint,
+                    *annotation_key,
+                    table_entry,
+                    &d.deps,
+                ) {
                     self.rdl.mark_used(annotation_key);
                     st.stats.shared_hits += 1;
                     let adopt_ns = t_first.elapsed().as_nanos() as u64;
@@ -1664,69 +1671,25 @@ impl Engine {
                         obs.first_request.record(adopt_ns);
                         obs.record_span(hb_obs::EventKind::SharedAdopt, *cache_key, adopt_ns);
                     }
-                    if let Some(old) = st.cache.remove(cache_key) {
-                        st.depatch(cache_key);
-                        Self::unlink(&mut st, cache_key, &old);
-                    }
-                    let deps: BTreeSet<MethodKey> =
-                        d.deps.iter().filter_map(|p| p.resolution.target).collect();
-                    for dep in &deps {
-                        // A real check marks every consulted dependency
-                        // annotation used; adoption stands in for the check,
-                        // so the Used statistic must not diverge between
-                        // warm and cold tenants.
-                        self.rdl.mark_used(dep);
-                        st.dependents.entry(*dep).or_default().insert(*cache_key);
-                    }
-                    let neg_deps: BTreeSet<(Sym, bool)> = d
-                        .deps
-                        .iter()
-                        .filter(|p| p.resolution.target.is_none())
-                        .map(|p| (p.resolution.method, p.resolution.class_level))
-                        .collect();
-                    for nd in &neg_deps {
-                        st.neg_dependents.entry(*nd).or_default().insert(*cache_key);
-                    }
                     // Cast sites are facts about the derivation, not about
                     // who ran the checker — replicate them so warm tenants
                     // report Table-1 Casts identically to cold ones.
                     st.stats.cast_sites.extend(d.cast_sites.iter().copied());
-                    st.cache.insert(
-                        *cache_key,
-                        CacheEntry {
-                            method_entry_id: info.entry.id,
-                            sig_version: table_entry.version,
-                            deps,
-                            neg_deps,
-                        },
-                    );
+                    let adopted =
+                        CacheEntry::from_facts(info.entry.id, table_entry.version, &d.deps);
+                    self.install(&mut st, *cache_key, adopted, None);
                     return Ok(true);
                 }
             }
         }
         // Miss in both tiers: lower (or fetch) the body CFG.
-        let cfg = {
-            let st = self.state.borrow();
-            st.cfgs.get(&info.entry.id).cloned()
-        };
-        let cfg = match cfg {
-            Some(c) => c,
-            None => {
-                let lowered = lower_entry(&info.entry).ok_or_else(|| {
-                    HbError::new(
-                        ErrorKind::Internal,
-                        format!("cannot lower body of {}", cache_key.display()),
-                        info.span,
-                    )
-                })?;
-                let rc = Arc::new(lowered);
-                self.state
-                    .borrow_mut()
-                    .cfgs
-                    .insert(info.entry.id, rc.clone());
-                rc
-            }
-        };
+        let cfg = self.cfg_for(&info.entry).ok_or_else(|| {
+            HbError::new(
+                ErrorKind::Internal,
+                format!("cannot lower body of {}", cache_key.display()),
+                info.span,
+            )
+        })?;
         // Deferred admission: a just-in-time miss in both tiers does not
         // run the checker on the caller's thread. The engine extracts an
         // owned `CheckTask` (body CFG, signature, world snapshot with its
@@ -1753,46 +1716,21 @@ impl Engine {
                 } else {
                     st.stats.deferred_admissions += 1;
                     if !latched {
-                        let world = self.world_for(&mut st, interp);
-                        let own_sig_fp = st.sig_fp(*annotation_key, table_entry);
-                        st.in_flight.insert(*cache_key);
-                        st.stats.sched_tasks_enqueued += 1;
-                        let submitted_at = if let Some(obs) = &st.obs {
-                            obs.record(hb_obs::EventKind::TaskEnqueue, *cache_key);
+                        if let Some(obs) = &st.obs {
                             obs.note_admitted(*cache_key);
                             obs.first_request
                                 .record(t_first.elapsed().as_nanos() as u64);
-                            Some(std::time::Instant::now())
-                        } else {
-                            None
-                        };
-                        drop(st);
-                        let task = CheckTask {
-                            cache_key: *cache_key,
-                            ann_key: *annotation_key,
-                            ann_span: table_entry.span,
-                            sig: table_entry.sig.clone(),
-                            entry_id: info.entry.id,
-                            sig_version: table_entry.version,
-                            body_fp,
-                            own_sig_fp,
-                            cfg,
-                            captured,
-                            world,
-                            policy,
-                            trigger: Some(call),
-                            record_blame: true,
-                            opts: self.check_opts,
-                            completions: self.completions.clone(),
-                            submitted_at,
-                        };
-                        if !self.ensure_scheduler().submit(task) {
-                            // The pool is shutting down: the task will
-                            // never run, so the key must not stay latched
-                            // in flight (the next call re-attempts the
-                            // admission).
-                            self.state.borrow_mut().in_flight.remove(cache_key);
                         }
+                        drop(st);
+                        self.defer(
+                            interp,
+                            *cache_key,
+                            *annotation_key,
+                            table_entry,
+                            &info.entry,
+                            policy,
+                            Some(call),
+                        );
                     }
                     return Ok(false);
                 }
@@ -1823,51 +1761,17 @@ impl Engine {
             Err(e) => {
                 let code = e.code();
                 let mut diag = e.into_diagnostic();
-                let checker_span_dummy = diag.span == Span::dummy();
-                if let Some(call) = trigger {
-                    diag.labels.push(DiagLabel::new(
-                        LabelRole::CallSite,
-                        "checked just-in-time at this call",
-                        call,
-                    ));
-                    if checker_span_dummy {
-                        // The checker positioned the error at synthesized
-                        // code (corelib / generated bodies). Historically
-                        // the dummy span was *dropped* in favour of the
-                        // call site; with structured labels we emit both:
-                        // the call site becomes the primary span and the
-                        // spanless blame stays as an explicit note.
-                        diag.labels.push(DiagLabel::new(
-                            LabelRole::Note,
-                            "blamed code has no source span (synthesized or core-library definition)",
-                            Span::dummy(),
-                        ));
-                        diag.span = call;
-                    }
-                } else if checker_span_dummy {
-                    // Eager mode: no call site exists; anchor at the
-                    // annotation being checked.
-                    diag.span = table_entry.span;
-                }
+                anchor_blame(&mut diag, trigger, table_entry.span);
                 let message = format!(
                     "type error in {} (checked at call): {}",
                     cache_key.display(),
                     diag.message
                 );
                 let mut st = self.state.borrow_mut();
-                st.stats.checks_failed += 1;
-                st.stats.failed_check_ns += check_ns;
                 if let Some(obs) = &st.obs {
                     obs.first_request.record(check_ns);
                 }
-                self.push_check_log(
-                    &mut st,
-                    CheckLogItem {
-                        key: *cache_key,
-                        outcome: CheckVerdict::Blame(code),
-                        duration_ns: check_ns,
-                    },
-                );
+                self.log_check(&mut st, *cache_key, CheckVerdict::Blame(code), check_ns);
                 st.phase.note_check();
                 drop(st);
                 self.rdl.record_diagnostic(diag.clone());
@@ -1885,52 +1789,24 @@ impl Engine {
         // callee type or as the checked method's own signature).
         self.rdl.mark_used(annotation_key);
         let mut st = self.state.borrow_mut();
-        st.stats.checks_performed += 1;
-        st.stats.check_ns += check_ns;
         if let Some(obs) = &st.obs {
             obs.first_request.record(check_ns);
         }
-        self.push_check_log(
-            &mut st,
-            CheckLogItem {
-                key: *cache_key,
-                outcome: CheckVerdict::Pass,
-                duration_ns: check_ns,
-            },
-        );
+        self.log_check(&mut st, *cache_key, CheckVerdict::Pass, check_ns);
         st.stats.checked_methods.insert(cache_key.display());
         st.stats
             .cast_sites
             .extend(outcome.cast_sites.iter().copied());
         st.phase.note_check();
         if caching {
-            // A stale entry (old entry id / sig version) may still be
-            // present: retire its reverse-dependency edges before the new
-            // derivation registers its own.
-            if let Some(old) = st.cache.remove(cache_key) {
-                st.depatch(cache_key);
-                Self::unlink(&mut st, cache_key, &old);
-            }
-            for dep in &outcome.deps {
-                st.dependents.entry(*dep).or_default().insert(*cache_key);
-            }
-            let neg_deps: BTreeSet<(Sym, bool)> = outcome
-                .resolutions
-                .iter()
-                .filter(|r| r.target.is_none())
-                .map(|r| (r.method, r.class_level))
-                .collect();
-            for nd in &neg_deps {
-                st.neg_dependents.entry(*nd).or_default().insert(*cache_key);
-            }
             // Publish to the shared tier with each dependency's current
             // signature version and content fingerprint, so foreign
             // tenants can validate without re-deriving. (Proc-backed
             // bodies publish too: their captured type environment is
             // folded into the body fingerprint, so only tenants whose
             // captured locals have identical types can adopt.)
-            if let Some((shared, body_fp)) = &shared_fp {
-                let deps: Vec<SharedDep> = outcome
+            let publish = shared_fp.map(|(shared, body_fp)| {
+                let deps = outcome
                     .resolutions
                     .iter()
                     .map(|res| {
@@ -1938,39 +1814,29 @@ impl Engine {
                             .target
                             .and_then(|t| self.rdl.entry(&t).map(|e| (t, e)))
                             .map_or((0, 0), |(t, e)| (e.version, st.sig_fp(t, &e)));
-                        SharedDep {
+                        DepFact {
                             resolution: *res,
                             sig_version: v,
                             sig_fingerprint: fp,
                         }
                     })
                     .collect();
-                let own_fp = st.sig_fp(*annotation_key, table_entry);
-                let epochs = (
-                    self.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    self.rdl.var_fingerprint(),
-                );
-                shared.insert(
-                    *cache_key,
-                    info.entry.id,
-                    table_entry.version,
-                    *body_fp,
-                    own_fp,
-                    epochs,
+                Publication {
+                    shared,
+                    body_fp,
+                    own_sig_fp: st.sig_fp(*annotation_key, table_entry),
+                    epochs: world_epochs(interp, &self.rdl),
                     deps,
-                    outcome.cast_sites.iter().copied().collect(),
-                );
-            }
-            st.cache.insert(
-                *cache_key,
-                CacheEntry {
-                    method_entry_id: info.entry.id,
-                    sig_version: table_entry.version,
-                    deps: outcome.deps,
-                    neg_deps,
-                },
-            );
+                    cast_sites: outcome.cast_sites.iter().copied().collect(),
+                }
+            });
+            let derived = CacheEntry {
+                method_entry_id: info.entry.id,
+                sig_version: table_entry.version,
+                neg_deps: neg_deps(outcome.resolutions.iter()),
+                deps: outcome.deps,
+            };
+            self.install(&mut st, *cache_key, derived, publish);
         }
         Ok(true)
     }
@@ -2168,10 +2034,6 @@ impl Engine {
             None => Arc::new(Scheduler::new(jobs)),
         };
         let caching = self.config.borrow().caching;
-        let world = {
-            let mut st = self.state.borrow_mut();
-            self.world_for(&mut st, interp)
-        };
         for m in self.eligible_methods(interp) {
             // Already valid in the hot tier: the sweep will hit it; no
             // task needed.
@@ -2183,63 +2045,11 @@ impl Engine {
                     continue;
                 }
             }
-            let captured: Option<TypeEnv> = match &m.mentry.body {
-                MethodBody::FromProc(p) => Some(
-                    p.env
-                        .collect_bindings()
-                        .into_iter()
-                        .map(|(k, v)| (k, type_of(interp, &v)))
-                        .collect(),
-                ),
-                _ => None,
-            };
-            let cfg = {
-                let cached = self.state.borrow().cfgs.get(&m.mentry.id).cloned();
-                match cached {
-                    Some(c) => c,
-                    None => {
-                        let Some(lowered) = lower_entry(&m.mentry) else {
-                            continue;
-                        };
-                        let rc = Arc::new(lowered);
-                        self.state.borrow_mut().cfgs.insert(m.mentry.id, rc.clone());
-                        rc
-                    }
-                }
-            };
-            let body_fp = body_fingerprint(interp, &m.mentry, captured.as_ref());
-            let (own_sig_fp, submitted_at) = {
-                let mut st = self.state.borrow_mut();
-                st.stats.sched_tasks_enqueued += 1;
-                let submitted_at = if let Some(obs) = &st.obs {
-                    obs.record(hb_obs::EventKind::TaskEnqueue, m.key);
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                (st.sig_fp(m.key, &m.entry), submitted_at)
-            };
             // A rejected submission (shut-down pool) simply leaves the
             // method for the serial sweep below.
-            let _ = sched.submit(CheckTask {
-                cache_key: m.key,
-                ann_key: m.key,
-                ann_span: m.entry.span,
-                sig: m.entry.sig.clone(),
-                entry_id: m.mentry.id,
-                sig_version: m.entry.version,
-                body_fp,
-                own_sig_fp,
-                cfg,
-                captured,
-                world: world.clone(),
-                policy: m.policy,
-                trigger: None,
-                record_blame: false,
-                opts: self.check_opts,
-                completions: self.completions.clone(),
-                submitted_at,
-            });
+            self.submit_check(
+                interp, &sched, m.key, m.key, &m.entry, &m.mentry, m.policy, None, false,
+            );
         }
         self.completions.wait_idle();
         self.sched_harvest(interp);
@@ -2256,6 +2066,49 @@ impl Engine {
 /// coincide across different codebases).
 fn sig_fingerprint(entry: &TableEntry) -> u64 {
     hb_intern::fingerprint64(&entry.sig)
+}
+
+/// The captured locals of a `define_method` proc body, typed from their
+/// runtime values — the just-in-time analogue of Fig. 2. `None` for other
+/// bodies.
+fn captured_env(interp: &Interp, entry: &hb_interp::MethodEntry) -> Option<TypeEnv> {
+    match &entry.body {
+        MethodBody::FromProc(p) => Some(
+            p.env
+                .collect_bindings()
+                .into_iter()
+                .map(|(k, v)| (k, type_of(interp, &v)))
+                .collect(),
+        ),
+        _ => None,
+    }
+}
+
+/// Anchors a checker diagnostic at the check that produced it: labels
+/// the triggering call, and positions blame on code with no source span
+/// (synthesized or core-library definitions). With a call site, the call
+/// becomes the primary span and the spanless blame stays as an explicit
+/// note; in eager mode no call exists, so the annotation under check
+/// (`ann_span`) anchors it.
+fn anchor_blame(diag: &mut TypeDiagnostic, trigger: Option<Span>, ann_span: Span) {
+    let spanless = diag.span == Span::dummy();
+    if let Some(call) = trigger {
+        diag.labels.push(DiagLabel::new(
+            LabelRole::CallSite,
+            "checked just-in-time at this call",
+            call,
+        ));
+        if spanless {
+            diag.labels.push(DiagLabel::new(
+                LabelRole::Note,
+                "blamed code has no source span (synthesized or core-library definition)",
+                Span::dummy(),
+            ));
+            diag.span = call;
+        }
+    } else if spanless {
+        diag.span = ann_span;
+    }
 }
 
 /// Cross-process body fingerprint: identifies the exact source text of a
@@ -2291,7 +2144,6 @@ fn body_fingerprint(
     )))
 }
 
-/// Lowers a checkable method entry to a CFG.
 /// Deoptimizes the whole fast-entry patch table the moment any RDL event
 /// is emitted or enforcement configuration changes. Interpreter events are
 /// handled differently (the dispatch fast path refuses to fire while
@@ -2312,6 +2164,7 @@ impl RdlEventSink for FastFlushSink {
     }
 }
 
+/// Lowers a checkable method entry to a CFG.
 fn lower_entry(entry: &hb_interp::MethodEntry) -> Option<MethodCfg> {
     match &entry.body {
         MethodBody::Ast(def) => Some(lower_method(def)),

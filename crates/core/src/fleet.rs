@@ -766,11 +766,7 @@ impl FleetSession {
             // Keys whose families were since evicted serialize nothing;
             // only a non-empty snapshot is worth a frame.
             if snap.entry_count() > 0 {
-                let epochs = (
-                    engine.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    engine.rdl.var_fingerprint(),
-                );
+                let epochs = crate::sched::world_epochs(interp, &engine.rdl);
                 let t_pub = std::time::Instant::now();
                 if let Err(e) = self.client.publish(epochs, &snap.to_bytes()) {
                     self.tracker.restore_pubs(pubs);

@@ -475,44 +475,6 @@ impl Hummingbird {
         HummingbirdBuilder::default()
     }
 
-    /// A fully enabled system with core-library annotations loaded.
-    #[deprecated(note = "use `Hummingbird::builder().build()` (Embedding API v1)")]
-    pub fn new() -> Hummingbird {
-        Hummingbird::builder().build()
-    }
-
-    /// A fully enabled system attached to a process-wide shared derivation
-    /// tier: one *tenant* of a multi-tenant deployment.
-    #[deprecated(
-        note = "use `Hummingbird::builder().shared_cache(shared).build()` (Embedding API v1)"
-    )]
-    pub fn new_tenant(shared: Arc<SharedCache>) -> Hummingbird {
-        Hummingbird::builder().shared_cache(shared).build()
-    }
-
-    /// A tenant in an explicit evaluation mode.
-    #[deprecated(
-        note = "use `Hummingbird::builder().mode(mode).shared_cache(shared).build()` \
-                (Embedding API v1)"
-    )]
-    pub fn tenant_with_mode(mode: Mode, shared: Arc<SharedCache>) -> Hummingbird {
-        Hummingbird::builder()
-            .mode(mode)
-            .shared_cache(shared)
-            .build()
-    }
-
-    /// Builds a system in the given evaluation mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bundled core-library annotations fail to load (a build
-    /// defect, not a runtime condition).
-    #[deprecated(note = "use `Hummingbird::builder().mode(mode).build()` (Embedding API v1)")]
-    pub fn with_mode(mode: Mode) -> Hummingbird {
-        Hummingbird::builder().mode(mode).build()
-    }
-
     /// Loads a source file into the running system.
     ///
     /// # Errors

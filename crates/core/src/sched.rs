@@ -42,12 +42,25 @@ pub fn capture_world(interp: &hb_interp::Interp, rdl: &RdlState) -> WorldSnapsho
     let ivars = rdl.ivar_decls().into_iter().collect();
     let cvars = rdl.cvar_decls().into_iter().collect();
     let gvars = rdl.gvar_decls().into_iter().collect();
-    let epochs = (
+    WorldSnapshot::new(
+        chains,
+        table,
+        ivars,
+        cvars,
+        gvars,
+        world_epochs(interp, rdl),
+    )
+}
+
+/// The epoch fingerprints of the checker-visible world, `(table_fp,
+/// hierarchy_fp, var_fp)`: what a derivation made elsewhere — another
+/// tenant's, a worker's, a fleet peer's — was made against.
+pub(crate) fn world_epochs(interp: &hb_interp::Interp, rdl: &RdlState) -> (u64, u64, u64) {
+    (
         rdl.table_fingerprint(),
-        registry.shape_fingerprint(),
+        interp.registry.shape_fingerprint(),
         rdl.var_fingerprint(),
-    );
-    WorldSnapshot::new(chains, table, ivars, cvars, gvars, epochs)
+    )
 }
 
 /// Sorts diagnostics into the stable reporting order shared by serial and

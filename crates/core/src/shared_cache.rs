@@ -28,7 +28,7 @@
 //! optimisation rather than a soundness requirement, which is what lets
 //! the tiers stay loosely coupled.
 
-use hb_rdl::{MethodKey, RdlEvent, RdlEventSink, Resolution};
+use hb_rdl::{MethodKey, RdlEvent, RdlEventSink};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,16 +43,8 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// still match by version *and* content. Version numbers are per-tenant
 /// load-order counters, so two tenants running different code can collide
 /// on a version; the content fingerprint is what makes adoption sound
-/// across arbitrary tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedDep {
-    pub resolution: Resolution,
-    /// Version of the target's entry at check time (0 when `target` is
-    /// `None` — a negative witness has no entry).
-    pub sig_version: u64,
-    /// Content fingerprint of the target's signature at check time.
-    pub sig_fingerprint: u64,
-}
+/// across arbitrary tenants. The same fact a scheduler worker reports.
+pub use hb_sched::DepFact as SharedDep;
 
 /// A shared derivation: everything a foreign tenant needs to decide the
 /// derivation is valid for *its* table.
@@ -115,9 +107,6 @@ pub struct SharedCacheStats {
     pub misses: u64,
     pub inserts: u64,
     pub evictions: u64,
-    /// Snapshots loaded from the legacy (pre-checksum) `HBSNAP01` layout
-    /// — the "old artifact, no integrity check" warning counter.
-    pub legacy_loads: u64,
 }
 
 /// Observer of tier mutations, called *after* the shard lock is released.
@@ -142,7 +131,6 @@ pub struct SharedCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    legacy_loads: AtomicU64,
     hooks: RwLock<Vec<Arc<dyn CacheEventHook>>>,
 }
 
@@ -168,7 +156,6 @@ impl SharedCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            legacy_loads: AtomicU64::new(0),
             hooks: RwLock::new(Vec::new()),
         }
     }
@@ -491,18 +478,7 @@ impl SharedCache {
         &self,
         snap: &crate::snapshot::CacheSnapshot,
     ) -> Result<usize, crate::snapshot::SnapshotError> {
-        let loaded = crate::snapshot::load_into(self, snap)?;
-        if snap.is_legacy() {
-            // Counted, not refused: the entries are still candidates that
-            // adoption validates, but the artifact had no integrity
-            // checksum and operators should know one flowed in.
-            self.legacy_loads.fetch_add(1, Ordering::Relaxed);
-            hb_obs::hb_warn!(
-                "hummingbird: loaded legacy HBSNAP01 snapshot ({} entries, no checksum)",
-                loaded
-            );
-        }
-        Ok(loaded)
+        crate::snapshot::load_into(self, snap)
     }
 
     /// Counter snapshot.
@@ -512,7 +488,6 @@ impl SharedCache {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            legacy_loads: self.legacy_loads.load(Ordering::Relaxed),
         }
     }
 }
@@ -550,6 +525,7 @@ impl RdlEventSink for SharedEvictionSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_rdl::Resolution;
 
     fn k(c: &str, m: &str) -> MethodKey {
         MethodKey::instance(c, m)

@@ -46,11 +46,8 @@
 //! over everything before it), verified before any parsing, so a
 //! bit-flipped artifact fails loudly with
 //! [`SnapshotError::BadChecksum`] instead of desynchronizing the cursor
-//! into garbage entries. Legacy `HBSNAP01` artifacts (no checksum) still
-//! parse — [`CacheSnapshot::is_legacy`] is set, and
-//! [`SharedCache::load_snapshot`] counts the load in
-//! [`crate::SharedCacheStats::legacy_loads`] so fleets can see unchecked
-//! artifacts flowing in.
+//! into garbage entries. The pre-checksum `HBSNAP01` layout is no longer
+//! read: its bytes fail with [`SnapshotError::BadMagic`].
 
 use crate::shared_cache::{SharedCache, SharedDep};
 use hb_intern::{fingerprint64, MethodKey, SymDictReader, SymDictWriter};
@@ -60,11 +57,6 @@ use hb_rdl::Resolution;
 /// layout changes; `from_bytes` rejects unknown versions instead of
 /// misparsing them.
 const MAGIC: &[u8; 8] = b"HBSNAP02";
-
-/// The pre-checksum format, still accepted on load (with a warning
-/// counted in [`crate::SharedCacheStats::legacy_loads`]) so artifacts
-/// written by earlier builds keep booting fleets during a rollout.
-const MAGIC_V1: &[u8; 8] = b"HBSNAP01";
 
 /// A method key with its symbols replaced by dictionary ids.
 #[derive(Debug, Clone, Copy)]
@@ -110,18 +102,14 @@ pub(crate) struct SnapEntry {
 pub struct CacheSnapshot {
     pub(crate) symbols: Vec<String>,
     pub(crate) entries: Vec<SnapEntry>,
-    /// True when the bytes parsed as the legacy `HBSNAP01` layout (no
-    /// content checksum). Loading such a snapshot works but is counted in
-    /// [`crate::SharedCacheStats::legacy_loads`].
-    pub(crate) legacy: bool,
 }
 
 /// Why a snapshot failed to parse or load. Malformed bytes are reported,
 /// never partially applied past the point of detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The buffer does not start with the `HBSNAP02` (or legacy
-    /// `HBSNAP01`) magic — wrong file or an incompatible format version.
+    /// The buffer does not start with the `HBSNAP02` magic — wrong file
+    /// or an incompatible format version.
     BadMagic,
     /// The buffer ended mid-structure.
     Truncated,
@@ -246,15 +234,6 @@ impl CacheSnapshot {
         Ok(keys)
     }
 
-    /// True when this snapshot was parsed from the legacy (pre-checksum)
-    /// `HBSNAP01` layout. Loads are still sound — entries are candidates
-    /// validated at adoption — but the artifact had no integrity check,
-    /// so [`SharedCache::load_snapshot`] counts it in
-    /// [`crate::SharedCacheStats::legacy_loads`].
-    pub fn is_legacy(&self) -> bool {
-        self.legacy
-    }
-
     /// Every entry's `(method key, entry id, sig version, body
     /// fingerprint)` version tuple, interned into the live process — the
     /// identity a [`SharedCache::contains`] probe takes. The fleet daemon
@@ -330,9 +309,8 @@ impl CacheSnapshot {
         out
     }
 
-    /// Parses the `HBSNAP02` wire format — checksum verified before any
-    /// structure is read — or the legacy `HBSNAP01` layout (no checksum;
-    /// the result has [`CacheSnapshot::is_legacy`] set).
+    /// Parses the `HBSNAP02` wire format, verifying the checksum before
+    /// any structure is read.
     ///
     /// # Errors
     ///
@@ -341,22 +319,18 @@ impl CacheSnapshot {
     /// surface later, from [`SharedCache::load_snapshot`].)
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, SnapshotError> {
         let magic = bytes.get(..MAGIC.len()).ok_or(SnapshotError::Truncated)?;
-        let (body, legacy) = if magic == MAGIC {
-            // v2: split off and verify the trailing checksum first.
-            if bytes.len() < MAGIC.len() + 8 {
-                return Err(SnapshotError::Truncated);
-            }
-            let (body, tail) = bytes.split_at(bytes.len() - 8);
-            let expected = u64::from_le_bytes(tail.try_into().unwrap());
-            if fingerprint64(body) != expected {
-                return Err(SnapshotError::BadChecksum);
-            }
-            (body, false)
-        } else if magic == MAGIC_V1 {
-            (bytes, true)
-        } else {
+        if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
-        };
+        }
+        // Split off and verify the trailing checksum first.
+        if bytes.len() < MAGIC.len() + 8 {
+            return Err(SnapshotError::Truncated);
+        }
+        let (body, tail) = bytes.split_at(bytes.len() - 8);
+        let expected = u64::from_le_bytes(tail.try_into().unwrap());
+        if fingerprint64(body) != expected {
+            return Err(SnapshotError::BadChecksum);
+        }
         let mut c = Cursor {
             buf: body,
             pos: MAGIC.len(),
@@ -415,11 +389,7 @@ impl CacheSnapshot {
                 cast_sites,
             });
         }
-        Ok(CacheSnapshot {
-            symbols,
-            entries,
-            legacy,
-        })
+        Ok(CacheSnapshot { symbols, entries })
     }
 }
 
@@ -481,7 +451,6 @@ pub(crate) fn snapshot_of_filtered(
     CacheSnapshot {
         symbols: dict.strings().iter().map(|s| s.to_string()).collect(),
         entries,
-        legacy: false,
     }
 }
 
@@ -605,12 +574,12 @@ mod tests {
         assert_eq!(fresh.evict_with_dependents(&k("User", "name")), 1);
     }
 
-    /// Rewrites v2 bytes into the legacy HBSNAP01 layout: v1 magic, no
+    /// Rewrites v2 bytes into the retired HBSNAP01 layout: v1 magic, no
     /// trailing checksum. What an artifact written by a pre-checksum
     /// build looks like.
-    fn as_legacy(bytes: &[u8]) -> Vec<u8> {
+    fn as_hbsnap01(bytes: &[u8]) -> Vec<u8> {
         let mut v1 = bytes[..bytes.len() - 8].to_vec();
-        v1[..MAGIC_V1.len()].copy_from_slice(MAGIC_V1);
+        v1[..8].copy_from_slice(b"HBSNAP01");
         v1
     }
 
@@ -637,33 +606,23 @@ mod tests {
             CacheSnapshot::from_bytes(&flipped).unwrap_err(),
             SnapshotError::BadChecksum
         );
-        // Legacy bytes have no checksum, so truncation surfaces as the
-        // structural error.
-        let mut legacy_short = as_legacy(&bytes);
-        legacy_short.truncate(legacy_short.len() - 3);
-        assert_eq!(
-            CacheSnapshot::from_bytes(&legacy_short).unwrap_err(),
-            SnapshotError::Truncated
-        );
     }
 
     #[test]
-    fn legacy_hbsnap01_artifacts_still_load_with_a_warning_stat() {
+    fn hbsnap01_artifacts_are_rejected_as_bad_magic() {
         let snap = sample_cache().snapshot();
-        let v1 = as_legacy(&snap.to_bytes());
-        let parsed = CacheSnapshot::from_bytes(&v1).expect("legacy layout parses");
-        assert!(parsed.is_legacy());
-        assert_eq!(parsed.entry_count(), snap.entry_count());
         let fresh = SharedCache::new();
-        assert_eq!(fresh.load_snapshot(&parsed).unwrap(), 2);
-        assert_eq!(
-            fresh.stats().legacy_loads,
-            1,
-            "loading a checksum-less artifact is counted"
-        );
-        // A v2 load does not touch the counter.
-        assert_eq!(fresh.load_snapshot(&snap).unwrap(), 2);
-        assert_eq!(fresh.stats().legacy_loads, 1);
+        let v1 = as_hbsnap01(&snap.to_bytes());
+        // However the bytes end, the magic is refused before any
+        // structure is read, so nothing can reach the tier.
+        for len in [v1.len(), v1.len() - 3, 8] {
+            assert_eq!(
+                CacheSnapshot::from_bytes(&v1[..len]).unwrap_err(),
+                SnapshotError::BadMagic
+            );
+        }
+        assert!(fresh.is_empty());
+        assert_eq!(fresh.stats(), crate::SharedCacheStats::default());
     }
 
     #[test]
@@ -705,7 +664,6 @@ mod tests {
                 entry(1), // valid
                 entry(9), // dangling
             ],
-            legacy: false,
         };
         let fresh = SharedCache::new();
         assert_eq!(

@@ -218,3 +218,39 @@ end
     assert_eq!(last_code(&hb), DiagCode::PreconditionFailed);
     hb.eval("$anon.new(1).drive(2)").unwrap();
 }
+
+#[test]
+fn a_flags_only_type_call_forces_the_dynamic_argument_check() {
+    let mut hb = Hummingbird::builder().build();
+    hb.eval(
+        r#"
+class Box
+  type :m, "(Fixnum) -> Fixnum", { "check" => true }
+  def m(x)
+    x
+  end
+  type :drive, "() -> Fixnum", { "check" => true }
+  def drive
+    m(1)
+  end
+end
+"#,
+    )
+    .unwrap();
+    let per_call = |hb: &mut Hummingbird| {
+        let before = hb.stats().dyn_arg_checks;
+        hb.eval("Box.new.drive").unwrap();
+        hb.stats().dyn_arg_checks - before
+    };
+    warm(&mut hb, "Box.new.drive");
+    // Only `drive`, called from unchecked top-level code, is checked
+    // dynamically: its checked body calls `m` with statically known types.
+    assert_eq!(per_call(&mut hb), 1);
+    // Re-registering the same arm with "dyn" changes no signature, only
+    // the flags — and "dyn" forces `m`'s argument check even from the
+    // checked caller, on every tier.
+    hb.eval(r#"type Box, :m, "(Fixnum) -> Fixnum", { "check" => true, "dyn" => true }"#)
+        .unwrap();
+    assert_eq!(per_call(&mut hb), 2);
+    assert_eq!(per_call(&mut hb), 2);
+}

@@ -279,6 +279,23 @@ pub fn fingerprint64(x: impl std::hash::Hash) -> u64 {
     h.finish()
 }
 
+/// Minimal JSON string escaping (quotes, backslashes, control chars).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 // ----- fast hashing for interned keys ----------------------------------------
 
 /// FNV-1a with a splitmix64 finalizer — a fast, non-cryptographic hasher

@@ -2,26 +2,10 @@
 //!
 //! The Prometheus and JSON renderers for metrics live on
 //! [`crate::Registry`]; this module holds the chrome://tracing trace
-//! renderer and the small string-escaping helpers the exporters share.
+//! renderer.
 
 use crate::ring::Event;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use hb_intern::json_escape;
 
 /// Renders events as a chrome://tracing-compatible JSON document
 /// (`{"traceEvents":[..]}`, the JSON Object Format). Load the output in

@@ -129,9 +129,9 @@ fn int_arg(args: &[Value], i: usize, what: &str) -> Result<i64, Flow> {
 }
 
 fn row_to_hash(row: HashMap<String, Value>) -> Value {
-    let mut pairs: Vec<(Value, Value)> = row.into_iter().map(|(k, v)| (Value::str(k), v)).collect();
-    pairs.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
-    Value::hash_from(pairs)
+    let mut pairs: Vec<(String, Value)> = row.into_iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Value::hash_from(pairs.into_iter().map(|(k, v)| (Value::str(k), v)).collect())
 }
 
 fn hash_to_row(v: &Value, what: &str) -> Result<HashMap<String, Value>, Flow> {

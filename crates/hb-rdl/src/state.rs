@@ -249,10 +249,12 @@ pub trait RdlEventSink {
     fn on_rdl_event(&self, ev: &RdlEvent);
 
     /// Called when enforcement configuration changes in a way emitted
-    /// events do not capture: a policy override is set or a `pre` contract
-    /// attaches. The bytecode tier's fast-entry patch table deoptimizes
-    /// here — patched entries skip the per-call hook probe entirely, which
-    /// is only sound while policies are trivial and no preconditions exist.
+    /// events do not capture: a policy override is set, a `pre` contract
+    /// attaches, or a `type` call changes only an annotation's
+    /// `check`/`dyn` flags. The bytecode tier's fast-entry patch table
+    /// deoptimizes here — patched entries skip the per-call hook probe
+    /// entirely, which is only sound while policies are trivial, no
+    /// preconditions exist and no dynamic check is forced.
     fn on_enforcement_changed(&self) {}
 }
 
@@ -421,6 +423,7 @@ impl RdlState {
             ),
         );
         let mut changed = true;
+        let mut flags_changed = false;
         let event = match inner.table.get_mut(&key) {
             Some(shared)
                 if !replace
@@ -449,9 +452,11 @@ impl RdlState {
                     Some(RdlEvent::TypeReplaced(key))
                 } else {
                     let before = entry.sig.arms.len();
+                    let flags_before = (entry.check, entry.always_dyn_check);
                     entry.sig.add_arm(mt);
                     entry.check |= check;
                     entry.always_dyn_check |= always_dyn_check;
+                    flags_changed = flags_before != (entry.check, entry.always_dyn_check);
                     if entry.span == Span::dummy() {
                         // An arm added from source upgrades a previously
                         // site-less entry to a blameable one.
@@ -487,6 +492,13 @@ impl RdlState {
             inner.events.push(ev.clone());
             drop(inner);
             self.notify(&ev);
+        } else if flags_changed {
+            // Same arms, new "check"/"dyn" flags: no derivation changes,
+            // but what the guarded prologue does per call may (a forced
+            // dynamic argument check), so sinks holding per-call
+            // shortcuts must drop them.
+            drop(inner);
+            self.notify_enforcement_changed();
         }
     }
 

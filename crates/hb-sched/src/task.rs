@@ -21,18 +21,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One dependency fact of a passing worker derivation: the (TApp)
-/// resolution witness plus the signature version and content fingerprint
-/// the target had *in the task's world snapshot*. The engine validates
-/// these against its current table at publication (the same shape as the
-/// shared tier's `SharedDep` replay) and publishes them onward so other
-/// tenants adopt the worker's derivation exactly as they adopt a
-/// tenant-published one.
+/// One dependency fact of a derivation: the (TApp) resolution witness
+/// plus the signature version and content fingerprint the target had
+/// when the derivation was made (for a worker, *in the task's world
+/// snapshot*). The engine validates these by replay against its current
+/// table, and the shared tier carries them so other tenants adopt a
+/// derivation the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepFact {
     pub resolution: Resolution,
-    /// Version of the target's entry at capture time (0 for negative
-    /// witnesses).
+    /// Version of the target's entry at capture time (0 when `target` is
+    /// `None` — a negative witness has no entry).
     pub sig_version: u64,
     /// Content fingerprint of the target's signature at capture time.
     pub sig_fingerprint: u64,

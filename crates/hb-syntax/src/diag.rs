@@ -526,22 +526,9 @@ fn push_span_json(out: &mut String, map: &SourceMap, span: Span) {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Re-exported from `hb-intern`, where the diagnostics and the
+/// observability exporters share it.
+pub use hb_intern::json_escape;
 
 #[cfg(test)]
 mod tests {
